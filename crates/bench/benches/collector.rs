@@ -8,10 +8,8 @@
 //! recorder updates, accounting, and eviction, not just the hand-off.
 //! Flows are partitioned across producers (`flow % producers`), each
 //! producer pushing from its own thread through its own registered
-//! handle — the same methodology as the historical single-producer
-//! numbers in `BENCH_collector.json`, which `collector_ingest/p1/s*`
-//! reproduces. `PINT_BENCH_JSON` records the baseline
-//! (`BENCH_ingest.json`).
+//! handle; `collector_ingest/p1/s*` is the single-producer column.
+//! `PINT_BENCH_JSON` records the baseline (`BENCH_ingest.json`).
 //!
 //! Besides the throughput matrix, the recorded JSON carries two notes:
 //! a metrics snapshot taken from the observed cell's shared registry

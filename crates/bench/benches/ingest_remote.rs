@@ -14,7 +14,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use pint_collector::{Collector, CollectorConfig, RecorderFactory};
 use pint_core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint_core::{Digest, DigestReport, FlowRecorder};
-use pint_fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
+use pint_fleet::{
+    collector_sink, DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,10 +76,10 @@ fn bench_ingest(c: &mut Criterion) {
     // end-to-end, not queue-filling.
     {
         let collector = Collector::spawn(CollectorConfig::with_shards(4), factory(&agg));
-        let server = DigestServer::bind_collector(
+        let server = DigestServer::bind(
             "127.0.0.1:0",
             DigestServerConfig::default(),
-            collector.handle(),
+            collector_sink(collector.handle()),
         )
         .expect("bind digest server");
         let fwd = DigestForwarder::connect(

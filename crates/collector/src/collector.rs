@@ -720,44 +720,6 @@ impl Collector {
         Ok(out)
     }
 
-    /// A snapshot restricted to `flows` — only the owning shards are
-    /// consulted, and the snapshot's aggregate fields (`ingested`,
-    /// `shard_stats`) cover *those shards only*. Flows not currently
-    /// tracked are simply absent; duplicates are deduplicated; an
-    /// empty list consults no shard.
-    ///
-    /// Deprecated shim over the query tier's plan routing — kept for
-    /// one release. Use [`query`](Self::query) with
-    /// [`TelemetryQuery::flows`](pint_query::TelemetryQuery::flows)
-    /// (or `watch` for request-ordered rows) to get typed
-    /// [`QueryResult`] rows instead of a snapshot.
-    #[deprecated(
-        note = "use `Collector::query` with `TelemetryQuery::new().flows(..)` — same shard routing, typed rows"
-    )]
-    pub fn snapshot_flows(&self, flows: &[FlowId]) -> Result<CollectorSnapshot, CollectorError> {
-        self.gather(&Selector::FlowSet(flows.to_vec()), None)
-            .map(CollectorSnapshot::from_shards)
-    }
-
-    /// A snapshot of the `k` flows with the most recorded packets
-    /// (ties broken by ascending flow ID; the returned snapshot is
-    /// ID-sorted). `k = 0` yields an empty snapshot; `k` past the
-    /// population yields every flow.
-    ///
-    /// Deprecated shim over the query tier's plan routing — kept for
-    /// one release. Use [`query`](Self::query) with
-    /// [`TelemetryQuery::top_k`](pint_query::TelemetryQuery::top_k),
-    /// which returns rank-ordered rows (heaviest first).
-    #[deprecated(
-        note = "use `Collector::query` with `TelemetryQuery::new().top_k(k)` — same shard routing, typed rows"
-    )]
-    pub fn snapshot_top_k(&self, k: usize) -> Result<CollectorSnapshot, CollectorError> {
-        let merged = self
-            .gather(&Selector::TopK(k), None)
-            .map(CollectorSnapshot::from_shards)?;
-        Ok(merged.into_top_k(k))
-    }
-
     /// Takes a full [`snapshot`](Self::snapshot) and encodes it as a
     /// ready-to-send wire frame (header included) keyed by this
     /// collector's identity and an `epoch` sequence number — the unit a

@@ -101,10 +101,8 @@ impl CollectorSnapshot {
 
     /// Keeps only the `k` flows with the most recorded packets (ties
     /// broken by ascending flow ID), preserving the sorted-by-ID
-    /// invariant of the survivors. Used by
-    /// [`Collector::snapshot_top_k`](crate::Collector::snapshot_top_k)
-    /// to trim the union of per-shard top-`k` lists to the global
-    /// top-`k`.
+    /// invariant of the survivors — e.g. to trim a union of per-shard
+    /// top-`k` lists to the global top-`k`.
     pub fn into_top_k(mut self, k: usize) -> Self {
         if self.flows.len() > k {
             self.flows

@@ -586,26 +586,6 @@ impl FleetAggregator {
         self.view().execute(plan)
     }
 
-    /// Fleet-wide top-`k` flows by packets, heaviest first.
-    ///
-    /// Deprecated shim kept for one release — use
-    /// [`query`](Self::query) with
-    /// [`TelemetryQuery::top_k`](pint_query::TelemetryQuery::top_k).
-    #[deprecated(note = "use `FleetAggregator::query` with `TelemetryQuery::new().top_k(k)`")]
-    pub fn top_k(&self, k: usize) -> Vec<(FlowId, u64)> {
-        let plan = QueryPlan {
-            selector: Selector::TopK(k),
-            projection: pint_query::Projection::Summaries,
-            options: Default::default(),
-        };
-        match self.query(&plan) {
-            Ok(QueryResult::Summaries(rows)) => {
-                rows.into_iter().map(|(f, s)| (f, s.packets)).collect()
-            }
-            _ => Vec::new(),
-        }
-    }
-
     /// Counts a transport-level framing failure (a connection whose
     /// byte stream could not be resynchronized).
     pub(crate) fn record_decode_error(&mut self) {

@@ -34,8 +34,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the worker blocks waiting for acks before re-checking the
-/// queue for due retransmissions.
+/// How long the worker blocks waiting for an ack (or, with nothing in
+/// flight, for a seal) before re-checking the queue for due
+/// retransmissions.
 const ACK_POLL: Duration = Duration::from_millis(5);
 
 /// Tuning knobs of a [`DigestForwarder`].
@@ -101,7 +102,7 @@ pub struct ForwarderStats {
     /// Digests inside shed batches.
     pub digests_shed: u64,
     /// Batches displaced from a full queue into the on-disk spill
-    /// instead of being shed ([`DigestForwarder::connect_spilling`]).
+    /// instead of being shed ([`ForwarderOptions::spill`]).
     /// A spilled batch is not yet accounted: it re-enters the queue
     /// (`resumed`) when the link catches up, or is counted as shed at
     /// shutdown if still on disk (where it stays persisted for a
@@ -120,6 +121,39 @@ impl ForwarderStats {
     pub fn accounted(&self) -> bool {
         self.delivered + self.deduped + self.shed == self.sent
     }
+}
+
+/// The optional inputs of [`DigestForwarder::connect_with`]; any
+/// combination works.
+#[derive(Default)]
+pub struct ForwarderOptions {
+    /// Receives the per-source `forwarder` gauge group (queue depth,
+    /// delivery accounting), sharded by the low 32 bits of
+    /// [`ForwarderConfig::source`] with the full id carried in the
+    /// `forwarder_source` field. Its clock stamps each batch's trace
+    /// context.
+    pub metrics: MetricsRegistry,
+    /// Records a [`TraceStage::ForwarderSealed`] event for every sealed
+    /// batch. Pair the recorder's clock with the registry's
+    /// ([`MetricsRegistry::with_clock`]) so event ticks and
+    /// trace-context stamps share one time base.
+    pub recorder: Option<FlightRecorder>,
+    /// A durable overflow: batches a full pending queue would shed are
+    /// spilled to this on-disk log instead and resume (oldest-first)
+    /// once the link catches up — so an outage longer than the
+    /// in-memory queue becomes persist-and-resume, not loss. Batches
+    /// still spilled at [`shutdown`](DigestForwarder::shutdown) are
+    /// counted as shed for this run's accounting but stay persisted; a
+    /// successor forwarder opened on the same spill file resumes them
+    /// (counting them into its own `sent` as it does, and numbering
+    /// its fresh batches above [`SpillQueue::max_seq`] so generations
+    /// never collide). Delivery stays at-least-once: the receiver's
+    /// per-source dedup absorbs any replays.
+    pub spill: Option<SpillQueue>,
+    /// Every outgoing frame passes through this injector — the
+    /// test/chaos hook that drops, duplicates, reorders, corrupts,
+    /// truncates, and stalls frames deterministically.
+    pub faults: Option<FaultInjector>,
 }
 
 /// One sealed batch awaiting an ack.
@@ -358,84 +392,22 @@ impl DigestForwarder {
     /// established (and re-established) in the background; pushes
     /// before or between connections just queue.
     pub fn connect(addr: SocketAddr, config: ForwarderConfig) -> Self {
-        Self::spawn(addr, config, None, MetricsRegistry::new(), None, None)
+        Self::connect_with(addr, config, ForwarderOptions::default())
     }
 
-    /// Like [`connect`](Self::connect), publishing the per-source
-    /// `forwarder` gauge group (queue depth, delivery accounting) into
-    /// a shared registry. The group is sharded by the low 32 bits of
-    /// [`ForwarderConfig::source`], with the full id carried in the
-    /// `forwarder_source` field.
-    pub fn connect_observed(
+    /// [`connect`](Self::connect) with observability, durability and
+    /// fault hooks; see [`ForwarderOptions`] for each.
+    pub fn connect_with(
         addr: SocketAddr,
         config: ForwarderConfig,
-        metrics: MetricsRegistry,
+        options: ForwarderOptions,
     ) -> Self {
-        Self::spawn(addr, config, None, metrics, None, None)
-    }
-
-    /// Like [`connect_observed`](Self::connect_observed), with a
-    /// durable overflow: batches a full pending queue would shed are
-    /// spilled to `spill`'s on-disk log instead and resume
-    /// (oldest-first) once the link catches up — so an outage longer
-    /// than the in-memory queue becomes persist-and-resume, not loss.
-    /// Batches still spilled at [`shutdown`](Self::shutdown) are
-    /// counted as shed for this run's accounting but stay persisted;
-    /// a successor forwarder opened on the same spill file resumes
-    /// them (counting them into its own `sent` as it does, and
-    /// numbering its fresh batches above [`SpillQueue::max_seq`] so
-    /// generations never collide). Delivery stays at-least-once: the
-    /// receiver's per-source dedup absorbs any replays.
-    pub fn connect_spilling(
-        addr: SocketAddr,
-        config: ForwarderConfig,
-        metrics: MetricsRegistry,
-        spill: SpillQueue,
-    ) -> Self {
-        Self::spawn(addr, config, None, metrics, None, Some(spill))
-    }
-
-    /// Like [`connect_observed`](Self::connect_observed), additionally
-    /// recording a [`TraceStage::ForwarderSealed`] event into
-    /// `recorder` for every sealed batch. Pair the recorder's clock
-    /// with the registry's ([`MetricsRegistry::with_clock`]) so event
-    /// ticks and trace-context stamps share one time base.
-    pub fn connect_traced(
-        addr: SocketAddr,
-        config: ForwarderConfig,
-        metrics: MetricsRegistry,
-        recorder: FlightRecorder,
-    ) -> Self {
-        Self::spawn(addr, config, None, metrics, Some(recorder), None)
-    }
-
-    /// Like [`connect`](Self::connect), but every outgoing frame
-    /// passes through `faults` — the test/chaos hook that drops,
-    /// duplicates, reorders, corrupts, truncates, and stalls frames
-    /// deterministically.
-    pub fn connect_faulty(
-        addr: SocketAddr,
-        config: ForwarderConfig,
-        faults: FaultInjector,
-    ) -> Self {
-        Self::spawn(
-            addr,
-            config,
-            Some(faults),
-            MetricsRegistry::new(),
-            None,
-            None,
-        )
-    }
-
-    fn spawn(
-        addr: SocketAddr,
-        config: ForwarderConfig,
-        faults: Option<FaultInjector>,
-        metrics: MetricsRegistry,
-        recorder: Option<FlightRecorder>,
-        spill: Option<SpillQueue>,
-    ) -> Self {
+        let ForwarderOptions {
+            metrics,
+            recorder,
+            spill,
+            faults,
+        } = options;
         let obs =
             metrics.gauge_group_shard("forwarder", config.source as u32, &FORWARDER_OBS_FIELDS);
         // A reopened spill may hold leftovers from a previous run; they
@@ -646,10 +618,20 @@ fn worker_loop(
                 if guard.stop {
                     return;
                 }
-                let inner = &mut *guard;
                 // The link is up and we hold the lock: pull spilled
                 // batches back in while the queue has headroom.
-                inner.resume_spilled(&config);
+                guard.resume_spilled(&config);
+                if guard.queue.is_empty() {
+                    // Nothing pending, so nothing spilled either and no
+                    // ack to wait for: sleep until a seal notifies
+                    // rather than in a read that only times out.
+                    drop(
+                        cvar.wait_timeout(guard, ACK_POLL)
+                            .expect("forwarder state poisoned"),
+                    );
+                    continue;
+                }
+                let inner = &mut *guard;
                 let now = Instant::now();
                 let rto = config.rto;
                 let mut frames = Vec::new();
@@ -684,7 +666,8 @@ fn worker_loop(
                 continue 'connect;
             }
 
-            // Drain acks; the read timeout doubles as the pacing tick.
+            // Something is in flight: wait for its ack. The read
+            // timeout doubles as the retransmission tick.
             match reader.read_frame() {
                 Ok(Some((FrameType::BatchAck, payload))) => {
                     if let Ok(ack) = BatchAck::decode(&payload) {
@@ -746,6 +729,47 @@ mod tests {
         assert_eq!(applied.load(Ordering::Relaxed), 100);
         let s = server.shutdown();
         assert_eq!(s.digests, 100);
+    }
+
+    #[test]
+    fn a_batch_sealed_while_idle_ships_without_waiting_for_the_ack_poll() {
+        let server = DigestServer::bind(
+            "127.0.0.1:0",
+            DigestServerConfig::default(),
+            Box::new(|_src, _reports| {}),
+        )
+        .unwrap();
+        let fwd = DigestForwarder::connect(
+            server.local_addr(),
+            ForwarderConfig {
+                source: 4,
+                ..ForwarderConfig::default()
+            },
+        );
+        // Trickle single-batch flushes ~1 ms apart, each sealed while
+        // nothing is in flight; time seal -> ack from outside.
+        let mut waits = Vec::new();
+        for pid in 0..20u64 {
+            std::thread::sleep(Duration::from_millis(1));
+            fwd.push(report(1, pid));
+            let sealed = Instant::now();
+            fwd.flush();
+            let deadline = sealed + Duration::from_secs(10);
+            while fwd.stats().delivered <= pid {
+                assert!(Instant::now() < deadline, "batch {pid} never acked");
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            waits.push(sealed.elapsed());
+        }
+        waits.sort();
+        let median = waits[waits.len() / 2];
+        assert!(
+            median < ACK_POLL / 3,
+            "median seal->ack {median:?} is not well under ACK_POLL {ACK_POLL:?}: {waits:?}"
+        );
+        let stats = fwd.shutdown(Duration::from_secs(10));
+        assert_eq!(stats.delivered, 20, "{stats:?}");
+        server.shutdown();
     }
 
     #[test]

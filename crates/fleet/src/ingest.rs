@@ -1,46 +1,34 @@
-//! The regional digest-ingest endpoint: a non-blocking poll-loop
-//! server for [`DigestBatch`] streams from many edge forwarders.
+//! The regional digest-ingest endpoint: a [`DigestServer`] takes
+//! [`DigestBatch`] streams from many edge forwarders.
 //!
-//! Unlike [`FleetServer`](crate::FleetServer) (snapshot frames, one
-//! thread per connection), [`DigestServer`] multiplexes every
-//! connection on **one** poll thread over non-blocking `std::net`
-//! sockets — the workspace is offline and runtime-free, so there is no
-//! async executor to lean on. Each connection carries its own frame
-//! reassembly buffer and write-back ack buffer; per-tick work is
-//! bounded per connection, so one hostile peer (oversized frames,
-//! garbage bytes, slow-loris partial writes, a half-open socket) can
-//! reject, stall, or die without delaying any other connection or the
-//! accept path.
+//! It is a handler set on pint-wire's [`FrameServer`] core, which owns
+//! the sockets: one thread per connection, blocked in `read` while the
+//! peer is idle, answering each burst of frames with one write, with
+//! the connection cap, framing/payload error accounting and slow-loris
+//! reaping shared by every port. One hostile peer (garbage bytes, a
+//! stalled partial frame, a half-open socket) costs only its own
+//! thread.
 //!
 //! Delivery is at-least-once: batches carry `(source, seq)`, the
 //! server deduplicates per source ([`SourceDedup`]) and acknowledges
 //! every batch with a [`BatchAck`] so the sending
-//! [`DigestForwarder`](crate::DigestForwarder) can retire it. Decoded
-//! batches are handed to a caller-supplied sink — typically a
-//! [`CollectorHandle`](pint_collector::CollectorHandle) feeding the
-//! local collector's producer rings.
+//! [`DigestForwarder`](crate::DigestForwarder) can retire it. Dedup
+//! state, the sink and the counters sit behind one lock, so
+//! connections apply batches one at a time. Decoded batches are
+//! handed to a caller-supplied sink, typically [`collector_sink`]
+//! feeding a local collector's producer rings.
 
 use pint_collector::CollectorHandle;
 use pint_core::DigestReport;
-use pint_obs::{FlightRecorder, GaugeGroup, Histogram, MetricsRegistry, TraceStage};
+use pint_obs::{ClockHandle, FlightRecorder, GaugeGroup, Histogram, MetricsRegistry, TraceStage};
 use pint_wire::{
-    frame_into, AckStatus, BatchAck, DigestBatch, FramePoll, FrameReader, FrameType, MetricsMsg,
-    MetricsReport, SourceDedup, TraceMsg, TraceReport, WireDecode,
+    frame_into, AckStatus, BatchAck, DigestBatch, FrameHandler, FrameServer, FrameType,
+    ServerLimits, ServerOptions, ServerStats, SourceDedup, WireDecode, WireError,
 };
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Sleep between poll ticks when no connection made progress.
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
-
-/// Frames decoded per connection per tick — bounds how long one
-/// firehose peer can monopolize the poll thread.
-const FRAMES_PER_TICK: usize = 64;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Tuning knobs of a [`DigestServer`].
 #[derive(Debug, Clone, Copy)]
@@ -50,7 +38,7 @@ pub struct DigestServerConfig {
     /// at a frame boundary are unaffected.
     pub read_deadline: Duration,
     /// Connections beyond this are accepted and immediately dropped
-    /// (counted), bounding poll-loop state under a connection flood.
+    /// (counted), bounding threads under a connection flood.
     pub max_connections: usize,
     /// Distinct edge sources tracked for dedup; batches from sources
     /// beyond this are rejected (never acked), bounding dedup memory.
@@ -59,9 +47,10 @@ pub struct DigestServerConfig {
 
 impl Default for DigestServerConfig {
     fn default() -> Self {
+        let limits = ServerLimits::default();
         Self {
-            read_deadline: Duration::from_secs(2),
-            max_connections: 1_024,
+            read_deadline: limits.read_deadline,
+            max_connections: limits.max_connections,
             max_sources: 4_096,
         }
     }
@@ -136,19 +125,17 @@ pub type BatchSink = Box<dyn FnMut(u64, Vec<DigestReport>) + Send>;
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub struct DigestServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-    stats: Arc<Mutex<DigestServerStats>>,
+    server: FrameServer,
+    port: Arc<DigestPort>,
     metrics: MetricsRegistry,
 }
 
 /// `set_all` field order of the `digest_server` gauge group (mirrors
-/// [`DigestServerStats`]). Published once per poll tick, so a reader
-/// always observes one tick's consistent counters — in particular
-/// `acks_sent == batches_applied + batches_duplicate` holds in every
-/// snapshot (sourced batches are acked exactly once, rejected ones
-/// never).
+/// [`DigestServerStats`]). Published whole under the ingest lock after
+/// every answered burst and connection change, so a reader always
+/// observes consistent counters — in particular `acks_sent ==
+/// batches_applied + batches_duplicate` holds in every snapshot
+/// (sourced batches are acked exactly once, rejected ones never).
 const DIGEST_SERVER_OBS_FIELDS: [&str; 12] = [
     "accepted",
     "active",
@@ -165,83 +152,62 @@ const DIGEST_SERVER_OBS_FIELDS: [&str; 12] = [
 ];
 
 impl DigestServer {
-    /// Binds and starts the poll thread. Use `"127.0.0.1:0"` to let
-    /// the OS pick a port (read it back via
-    /// [`local_addr`](Self::local_addr)).
+    /// Binds and starts serving. Use `"127.0.0.1:0"` to let the OS
+    /// pick a port (read it back via [`local_addr`](Self::local_addr)).
     pub fn bind(
         addr: impl ToSocketAddrs,
         config: DigestServerConfig,
         sink: BatchSink,
     ) -> std::io::Result<Self> {
-        Self::bind_observed(addr, config, sink, MetricsRegistry::new())
+        Self::bind_with(addr, config, sink, ServerOptions::default())
     }
 
-    /// [`bind`](Self::bind) publishing self-telemetry into a shared
-    /// registry: the `digest_server` gauge group is refreshed once per
-    /// poll tick, and `Metrics` request frames on any connection are
-    /// answered with a snapshot of `metrics` — share the collector's
-    /// registry and one fetch reports both tiers.
-    pub fn bind_observed(
+    /// [`bind`](Self::bind) with self-telemetry and tracing.
+    ///
+    /// The `digest_server` gauge group is published into
+    /// `options.metrics`, and `Metrics` request frames on any
+    /// connection are answered with a snapshot of it — share the
+    /// collector's registry and one fetch reports both tiers. Batches
+    /// carrying a trace context feed the `ingest_e2e_latency_ns`
+    /// histogram (the registry clock minus the origin stamp — honest
+    /// only when both ends share a time base). With
+    /// `options.recorder`, every applied (or deduplicated) batch
+    /// records a [`TraceStage::ServerApplied`] / `ServerDuplicate`
+    /// event, and `TraceDump` requests are answered from it.
+    pub fn bind_with(
         addr: impl ToSocketAddrs,
         config: DigestServerConfig,
         sink: BatchSink,
-        metrics: MetricsRegistry,
+        options: ServerOptions,
     ) -> std::io::Result<Self> {
-        Self::bind_inner(addr, config, sink, metrics, None)
-    }
-
-    /// [`bind_observed`](Self::bind_observed) with pipeline tracing:
-    /// every applied (or deduplicated) batch records a
-    /// [`TraceStage::ServerApplied`] / `ServerDuplicate` event into
-    /// `recorder`, batches carrying a trace context feed the
-    /// `ingest_e2e_latency_ns` histogram (receiver clock minus origin
-    /// stamp — honest only when both ends share a time base), and
-    /// `TraceDump` request frames on any connection are answered with
-    /// a snapshot of `recorder`.
-    pub fn bind_traced(
-        addr: impl ToSocketAddrs,
-        config: DigestServerConfig,
-        sink: BatchSink,
-        metrics: MetricsRegistry,
-        recorder: FlightRecorder,
-    ) -> std::io::Result<Self> {
-        Self::bind_inner(addr, config, sink, metrics, Some(recorder))
-    }
-
-    fn bind_inner(
-        addr: impl ToSocketAddrs,
-        config: DigestServerConfig,
-        sink: BatchSink,
-        metrics: MetricsRegistry,
-        recorder: Option<FlightRecorder>,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(Mutex::new(DigestServerStats::default()));
-        let loop_stop = Arc::clone(&stop);
-        let loop_stats = Arc::clone(&stats);
-        let loop_metrics = metrics.clone();
-        let thread = std::thread::Builder::new()
-            .name("pint-digest-ingest".into())
-            .spawn(move || {
-                poll_loop(
-                    listener,
-                    config,
-                    sink,
-                    loop_stats,
-                    loop_stop,
-                    loop_metrics,
-                    recorder,
-                )
-            })
-            .expect("spawn digest ingest thread");
-        Ok(Self {
+        let metrics = options.metrics.clone();
+        let port = Arc::new(DigestPort {
+            state: Mutex::new(IngestState {
+                sink,
+                dedup: BTreeMap::new(),
+                stats: DigestServerStats::default(),
+            }),
+            max_sources: config.max_sources,
+            clock: metrics.clock(),
+            e2e_latency: metrics.histogram("ingest_e2e_latency_ns"),
+            recorder: options.recorder.clone(),
+            obs: metrics.gauge_group("digest_server", &DIGEST_SERVER_OBS_FIELDS),
+        });
+        let limits = ServerLimits {
+            read_deadline: config.read_deadline,
+            max_connections: config.max_connections,
+        };
+        let server = FrameServer::bind(
             addr,
-            stop,
-            thread: Some(thread),
-            stats,
+            "pint-digest-ingest",
+            "pint-digest-ingest",
+            limits,
+            options,
+            Arc::clone(&port),
+        )?;
+        Ok(Self {
+            server,
+            port,
             metrics,
         })
     }
@@ -252,296 +218,138 @@ impl DigestServer {
         &self.metrics
     }
 
-    /// Binds with the batch sink feeding a collector producer: each
-    /// applied batch is pushed through `handle`'s per-shard rings and
-    /// flushed, so queries observe it immediately. Undeliverable
-    /// digests (collector shut down mid-batch) are counted by the
-    /// collector's dropped-digest counter, never lost silently.
-    pub fn bind_collector(
-        addr: impl ToSocketAddrs,
-        config: DigestServerConfig,
-        mut handle: CollectorHandle,
-    ) -> std::io::Result<Self> {
-        Self::bind(
-            addr,
-            config,
-            Box::new(move |_source, reports| {
-                let _ = handle.push_batch(reports);
-                let _ = handle.flush();
-            }),
-        )
-    }
-
     /// The bound address forwarders connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// A copy of the live counters.
     pub fn stats(&self) -> DigestServerStats {
-        *self.stats.lock().expect("digest server stats poisoned")
+        // Core lock before ingest lock: the order `publish` takes them.
+        let core = self.server.stats();
+        self.port.state().stats.with(&core)
     }
 
-    /// Stops the poll thread (open connections are dropped) and
-    /// returns the final counters.
-    pub fn shutdown(mut self) -> DigestServerStats {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        self.stats()
-    }
-}
-
-impl Drop for DigestServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    /// Stops serving (open connections are dropped) and returns the
+    /// final counters.
+    pub fn shutdown(self) -> DigestServerStats {
+        let core = self.server.shutdown();
+        self.port.state().stats.with(&core)
     }
 }
 
-/// The poll loop's tracing hooks, built once at bind: the registry's
-/// clock, the end-to-end latency histogram it feeds, and the optional
-/// flight recorder served over `TraceDump` frames.
-struct IngestObs {
-    clock: pint_obs::ClockHandle,
+/// A batch sink feeding a collector producer: each applied batch is
+/// pushed through `handle`'s per-shard rings and flushed, so queries
+/// observe it immediately. Undeliverable digests (collector shut down
+/// mid-batch) are counted by the collector's dropped-digest counter,
+/// never lost silently.
+pub fn collector_sink(mut handle: CollectorHandle) -> BatchSink {
+    Box::new(move |_source, reports| {
+        let _ = handle.push_batch(reports);
+        let _ = handle.flush();
+    })
+}
+
+impl DigestServerStats {
+    /// These ingest counters with the connection counters of `core`.
+    fn with(mut self, core: &ServerStats) -> Self {
+        self.accepted = core.accepted;
+        self.active = core.active;
+        self.framing_errors = core.framing_errors;
+        self.payload_errors = core.payload_errors;
+        self.stalled_dropped = core.stalled_dropped;
+        self.connections_rejected = core.rejected;
+        self
+    }
+}
+
+/// What the ingest lock guards: dedup, the sink, and the ingest
+/// counters (the connection counters live in the core).
+struct IngestState {
+    sink: BatchSink,
+    dedup: BTreeMap<u64, SourceDedup>,
+    stats: DigestServerStats,
+}
+
+/// The digest port's handler set.
+struct DigestPort {
+    state: Mutex<IngestState>,
+    max_sources: usize,
+    clock: ClockHandle,
     e2e_latency: Histogram,
     recorder: Option<FlightRecorder>,
+    obs: GaugeGroup,
 }
 
-/// One connection's poll-loop state machine.
-struct Conn {
-    reader: FrameReader<TcpStream>,
-    writer: TcpStream,
-    /// Pending ack bytes not yet accepted by the socket (partial
-    /// writes to a congested or hostile peer resume here).
-    write_buf: Vec<u8>,
-    /// Last instant this connection moved: bytes read, a frame
-    /// decoded, or ack bytes flushed.
-    last_progress: Instant,
-}
-
-/// What one connection tick concluded.
-enum TickOutcome {
-    Keep { progressed: bool },
-    Drop,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true).ok();
-        let writer = stream.try_clone()?;
-        Ok(Self {
-            reader: FrameReader::new(stream),
-            writer,
-            write_buf: Vec::new(),
-            last_progress: Instant::now(),
-        })
+impl DigestPort {
+    fn state(&self) -> MutexGuard<'_, IngestState> {
+        self.state.lock().expect("digest ingest state poisoned")
     }
 
-    /// Serves one tick: decode up to [`FRAMES_PER_TICK`] frames, route
-    /// them, flush pending acks, and police the progress deadline.
-    #[allow(clippy::too_many_arguments)]
-    fn tick(
-        &mut self,
-        config: &DigestServerConfig,
-        sink: &mut BatchSink,
-        dedup: &mut BTreeMap<u64, SourceDedup>,
-        stats: &mut DigestServerStats,
-        metrics: &MetricsRegistry,
-        obs: &IngestObs,
-    ) -> TickOutcome {
-        let mut progressed = false;
-        let buffered_before = self.reader.buffered();
-        let mut closed = false;
-        for _ in 0..FRAMES_PER_TICK {
-            match self.reader.poll_frame() {
-                Ok(FramePoll::Frame(ty, payload)) => {
-                    progressed = true;
-                    self.route(ty, &payload, config, sink, dedup, stats, metrics, obs);
-                }
-                Ok(FramePoll::Pending) => break,
-                Ok(FramePoll::Closed) => {
-                    closed = true;
-                    break;
-                }
-                Err(pint_wire::ReadFrameError::Wire(_)) => {
-                    // Framing cannot resynchronize: count and drop.
-                    stats.framing_errors += 1;
-                    return TickOutcome::Drop;
-                }
-                Err(pint_wire::ReadFrameError::Io(_)) => {
-                    // Reset or mid-frame EOF; also a framing loss from
-                    // this server's perspective when bytes were
-                    // pending, but counted as a plain disconnect.
-                    return TickOutcome::Drop;
-                }
+    /// Dedups, applies and acks one batch.
+    fn apply(&self, batch: DigestBatch, out: &mut Vec<u8>) {
+        let mut state = self.state();
+        let IngestState { sink, dedup, stats } = &mut *state;
+        if !dedup.contains_key(&batch.source) && dedup.len() >= self.max_sources {
+            stats.sources_rejected += 1;
+            return; // never acked; the sender will shed it
+        }
+        let fresh = dedup.entry(batch.source).or_default().observe(batch.seq);
+        let status = if fresh {
+            stats.batches_applied += 1;
+            stats.digests += batch.reports.len() as u64;
+            let now = self.clock.now_ns();
+            if let Some(trace) = &batch.trace {
+                // Edge→regional latency from the sender's origin stamp
+                // — a true end-to-end sample, not a per-hop guess.
+                self.e2e_latency.record(now.saturating_sub(trace.origin_ns));
             }
-        }
-        if self.reader.buffered() != buffered_before {
-            progressed = true;
-        }
-
-        // Flush acks, tolerating partial writes.
-        while !self.write_buf.is_empty() {
-            match self.writer.write(&self.write_buf) {
-                Ok(0) => return TickOutcome::Drop,
-                Ok(n) => {
-                    self.write_buf.drain(..n);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return TickOutcome::Drop,
+            if let Some(rec) = &self.recorder {
+                rec.record_at(
+                    batch.source as u32,
+                    TraceStage::ServerApplied,
+                    batch.source,
+                    batch.seq,
+                    now,
+                );
             }
-        }
-
-        if closed && self.write_buf.is_empty() {
-            return TickOutcome::Drop; // clean goodbye, acks delivered
-        }
-        if progressed {
-            self.last_progress = Instant::now();
+            sink(batch.source, batch.reports);
+            AckStatus::Applied
         } else {
-            // Mid-frame (or mid-ack) with no movement: slow-loris.
-            let mid_work = self.reader.buffered() > 0 || !self.write_buf.is_empty();
-            if mid_work && self.last_progress.elapsed() > config.read_deadline {
-                stats.stalled_dropped += 1;
-                return TickOutcome::Drop;
+            stats.batches_duplicate += 1;
+            if let Some(rec) = &self.recorder {
+                rec.record(
+                    batch.source as u32,
+                    TraceStage::ServerDuplicate,
+                    batch.source,
+                    batch.seq,
+                );
             }
-        }
-        TickOutcome::Keep { progressed }
+            AckStatus::Duplicate
+        };
+        let ack = BatchAck {
+            seq: batch.seq,
+            status,
+        };
+        frame_into(FrameType::BatchAck, &ack, out);
+        stats.acks_sent += 1;
     }
+}
 
-    /// Dispatches one well-framed frame.
-    #[allow(clippy::too_many_arguments)]
-    fn route(
-        &mut self,
-        ty: FrameType,
-        payload: &[u8],
-        config: &DigestServerConfig,
-        sink: &mut BatchSink,
-        dedup: &mut BTreeMap<u64, SourceDedup>,
-        stats: &mut DigestServerStats,
-        metrics: &MetricsRegistry,
-        obs: &IngestObs,
-    ) {
+impl FrameHandler for DigestPort {
+    fn handle(&self, ty: FrameType, payload: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
         match ty {
-            FrameType::DigestBatch => match DigestBatch::decode(payload) {
-                Ok(batch) => {
-                    if !dedup.contains_key(&batch.source) && dedup.len() >= config.max_sources {
-                        stats.sources_rejected += 1;
-                        return; // never acked; the sender will shed it
-                    }
-                    let fresh = dedup.entry(batch.source).or_default().observe(batch.seq);
-                    let status = if fresh {
-                        stats.batches_applied += 1;
-                        stats.digests += batch.reports.len() as u64;
-                        let now = obs.clock.now_ns();
-                        if let Some(trace) = &batch.trace {
-                            // Edge→regional latency from the sender's
-                            // origin stamp — a true end-to-end sample,
-                            // not a per-hop guess (meaningful when both
-                            // ends share a time base).
-                            obs.e2e_latency.record(now.saturating_sub(trace.origin_ns));
-                        }
-                        if let Some(rec) = &obs.recorder {
-                            rec.record_at(
-                                batch.source as u32,
-                                TraceStage::ServerApplied,
-                                batch.source,
-                                batch.seq,
-                                now,
-                            );
-                        }
-                        sink(batch.source, batch.reports);
-                        AckStatus::Applied
-                    } else {
-                        stats.batches_duplicate += 1;
-                        if let Some(rec) = &obs.recorder {
-                            rec.record(
-                                batch.source as u32,
-                                TraceStage::ServerDuplicate,
-                                batch.source,
-                                batch.seq,
-                            );
-                        }
-                        AckStatus::Duplicate
-                    };
-                    let ack = BatchAck {
-                        seq: batch.seq,
-                        status,
-                    };
-                    self.write_buf.extend_from_slice(&ack.to_frame_bytes());
-                    stats.acks_sent += 1;
-                }
-                Err(_) => {
-                    // The envelope was valid, so the stream is still in
-                    // sync — count the bad payload, keep the connection.
-                    stats.payload_errors += 1;
-                }
-            },
-            FrameType::Metrics => match MetricsMsg::decode(payload) {
-                Ok(MetricsMsg::Request(req)) => {
-                    // Answered from the shared registry on the same
-                    // back-pressure-aware write path as acks.
-                    let report = MetricsReport {
-                        request_id: req.request_id,
-                        source: 0,
-                        snapshot: metrics.snapshot(),
-                    };
-                    frame_into(FrameType::Metrics, &report, &mut self.write_buf);
-                }
-                // A stray report (or junk payload) at the server side.
-                _ => stats.unsupported_frames += 1,
-            },
-            FrameType::TraceDump => match TraceMsg::decode(payload) {
-                Ok(TraceMsg::Request(req)) => {
-                    // Untraced servers answer with an empty dump, so
-                    // clients need not know which bind variant ran.
-                    let report = TraceReport {
-                        request_id: req.request_id,
-                        source: 0,
-                        dump: obs
-                            .recorder
-                            .as_ref()
-                            .map(|r| r.snapshot())
-                            .unwrap_or_default(),
-                    };
-                    frame_into(FrameType::TraceDump, &report, &mut self.write_buf);
-                }
-                _ => stats.unsupported_frames += 1,
-            },
+            FrameType::DigestBatch => self.apply(DigestBatch::decode(payload)?, out),
             // Edge processes may announce/leave; nothing to track here.
             FrameType::Hello | FrameType::Bye => {}
-            _ => stats.unsupported_frames += 1,
+            _ => self.state().stats.unsupported_frames += 1,
         }
+        Ok(())
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn poll_loop(
-    listener: TcpListener,
-    config: DigestServerConfig,
-    mut sink: BatchSink,
-    shared_stats: Arc<Mutex<DigestServerStats>>,
-    stop: Arc<AtomicBool>,
-    metrics: MetricsRegistry,
-    recorder: Option<FlightRecorder>,
-) {
-    let ingest_obs = IngestObs {
-        clock: metrics.clock(),
-        e2e_latency: metrics.histogram("ingest_e2e_latency_ns"),
-        recorder,
-    };
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut dedup: BTreeMap<u64, SourceDedup> = BTreeMap::new();
-    let mut stats = DigestServerStats::default();
-    let obs = metrics.gauge_group("digest_server", &DIGEST_SERVER_OBS_FIELDS);
-    let publish = |obs: &GaugeGroup, s: &DigestServerStats| {
-        obs.set_all(&[
+    fn publish(&self, core: &ServerStats) {
+        let s = self.state().stats.with(core);
+        self.obs.set_all(&[
             s.accepted,
             s.active as u64,
             s.batches_applied,
@@ -555,66 +363,16 @@ fn poll_loop(
             s.connections_rejected,
             s.sources_rejected,
         ]);
-    };
-    while !stop.load(Ordering::Acquire) {
-        let mut progressed = false;
-        // Accept everything pending this tick.
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    progressed = true;
-                    if conns.len() >= config.max_connections {
-                        stats.connections_rejected += 1;
-                        continue; // stream drops here
-                    }
-                    match Conn::new(stream) {
-                        Ok(conn) => {
-                            stats.accepted += 1;
-                            conns.push(conn);
-                        }
-                        Err(_) => stats.connections_rejected += 1,
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        // One bounded tick per connection; a dropped connection never
-        // takes the loop down with it.
-        conns.retain_mut(|conn| {
-            match conn.tick(
-                &config,
-                &mut sink,
-                &mut dedup,
-                &mut stats,
-                &metrics,
-                &ingest_obs,
-            ) {
-                TickOutcome::Keep { progressed: p } => {
-                    progressed |= p;
-                    true
-                }
-                TickOutcome::Drop => {
-                    progressed = true;
-                    false
-                }
-            }
-        });
-        stats.active = conns.len();
-        *shared_stats.lock().expect("digest server stats poisoned") = stats;
-        publish(&obs, &stats);
-        if !progressed {
-            std::thread::sleep(IDLE_SLEEP);
-        }
     }
-    stats.active = 0;
-    *shared_stats.lock().expect("digest server stats poisoned") = stats;
-    publish(&obs, &stats);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pint_wire::FrameReader;
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::Instant;
 
     #[test]
     fn server_survives_garbage_slow_and_half_open_peers() {

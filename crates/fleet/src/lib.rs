@@ -48,9 +48,10 @@
 //!   sends sequence-numbered `DigestBatch` frames with bounded
 //!   buffering, reconnect + exponential backoff, and shed-oldest
 //!   overload behavior; [`DigestServer`] ingests those streams from
-//!   many forwarders on one non-blocking poll thread, deduplicates per
-//!   `(source, seq)`, acknowledges every batch (`BatchAck`), and feeds
-//!   a local collector's producer rings. Delivery is at-least-once
+//!   many forwarders (one thread per connection on pint-wire's
+//!   `FrameServer` core, shared with [`FleetServer`] and the query
+//!   port), deduplicates per `(source, seq)`, acknowledges every batch
+//!   (`BatchAck`), and feeds a local collector's producer rings. Delivery is at-least-once
 //!   with exact accounting: after shutdown,
 //!   `delivered + deduped + shed == sent` holds per forwarder.
 
@@ -67,8 +68,8 @@ mod view;
 
 pub use aggregator::{FleetAggregator, FleetConfig, FleetRestoreReport, FleetStats};
 pub use error::FleetError;
-pub use forwarder::{DigestForwarder, ForwarderConfig, ForwarderStats};
-pub use ingest::{BatchSink, DigestServer, DigestServerConfig, DigestServerStats};
+pub use forwarder::{DigestForwarder, ForwarderConfig, ForwarderOptions, ForwarderStats};
+pub use ingest::{collector_sink, BatchSink, DigestServer, DigestServerConfig, DigestServerStats};
 pub use rules::{FleetCondition, FleetEdge, FleetEvent, FleetRule};
 pub use transport::{FleetClient, FleetServer, InMemorySender, InMemoryTransport};
 pub use view::FleetView;

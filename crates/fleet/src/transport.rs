@@ -3,7 +3,10 @@
 //!
 //! Both transports deliver *identical* frame bytes to the same
 //! [`FleetAggregator`] — the integration tests pin down that a fleet
-//! fed over TCP answers exactly like one fed in-memory.
+//! fed over TCP answers exactly like one fed in-memory. The TCP side,
+//! [`FleetServer`], is a handler set on pint-wire's [`FrameServer`]
+//! core: one thread per connection, blocked in `read` while idle, with
+//! the same connection cap and slow-loris reaping as every other port.
 
 use crate::aggregator::{FleetAggregator, FleetConfig};
 use crate::error::FleetError;
@@ -11,20 +14,13 @@ use pint_collector::wire::SnapshotFrame;
 use pint_obs::{Gauge, MetricsRegistry};
 use pint_query::{QueryError, QueryPlan, QueryResult};
 use pint_wire::{
-    frame_into, FrameReader, FrameType, MetricsMsg, MetricsReport, ReadFrameError, TraceMsg,
-    TraceReport, WireDecode,
+    frame_into, FrameHandler, FrameReader, FrameServer, FrameType, MetricsReport, ServerLimits,
+    ServerOptions, ServerStats, TraceReport, WireError,
 };
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How long the accept loop sleeps between polls, and the per-read
-/// timeout on connections — both bound how long shutdown can lag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// An in-process frame transport: senders queue encoded frames, the
 /// owner pumps them into an aggregator. Useful for tests and
@@ -87,77 +83,52 @@ impl InMemorySender {
     }
 }
 
-/// A TCP fleet endpoint: accepts collector connections on a
-/// `std::net::TcpListener` and feeds their frames to a shared
-/// [`FleetAggregator`].
+/// A TCP fleet endpoint: accepts collector connections and feeds their
+/// frames to a shared [`FleetAggregator`].
 ///
-/// One reader thread per connection reassembles frames from the byte
-/// stream ([`FrameReader`](pint_wire::FrameReader)'s incremental contract)
-/// under the aggregator mutex. A connection whose stream turns out not
-/// to be PINT frames (bad magic, future version, oversized payload) is
-/// dropped — framing cannot resynchronize — with the error counted in
+/// A handler set on pint-wire's [`FrameServer`] core, which owns the
+/// sockets, caps connections and reaps slow-loris peers with
+/// [`DigestServerConfig::default()`](crate::DigestServerConfig)'s
+/// limits. Snapshots and digest batches apply under the aggregator
+/// mutex. A connection whose stream turns out not to be PINT frames
+/// (bad magic, future version, oversized payload) is dropped — framing
+/// cannot resynchronize — with the error counted in
 /// [`FleetStats::decode_errors`](crate::FleetStats).
 pub struct FleetServer {
     agg: Arc<Mutex<FleetAggregator>>,
     metrics: MetricsRegistry,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-/// Holds the `fleet_connections` gauge up for one connection's
-/// lifetime; the `Drop` decrement covers every exit path of
-/// [`connection_loop`], panics included.
-struct ConnectionGuard(Gauge);
-
-impl ConnectionGuard {
-    fn new(gauge: Gauge) -> Self {
-        gauge.add(1);
-        Self(gauge)
-    }
-}
-
-impl Drop for ConnectionGuard {
-    fn drop(&mut self) {
-        self.0.sub(1);
-    }
+    server: FrameServer,
 }
 
 impl FleetServer {
     /// Binds and starts accepting. Use `"127.0.0.1:0"` to let the OS
     /// pick a port (read it back via [`local_addr`](Self::local_addr)).
     pub fn bind(addr: impl ToSocketAddrs, config: FleetConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let aggregator = FleetAggregator::new(config);
-        let metrics = aggregator.metrics().clone();
-        // Registered at bind so the gauge reports 0 before the first
-        // connection rather than being absent from snapshots.
-        let connections = metrics.gauge("fleet_connections");
+        let options = ServerOptions {
+            metrics: aggregator.metrics().clone(),
+            recorder: aggregator.trace_recorder().cloned(),
+        };
+        let metrics = options.metrics.clone();
         let agg = Arc::new(Mutex::new(aggregator));
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_agg = Arc::clone(&agg);
-        let accept_stop = Arc::clone(&stop);
-        let accept_metrics = metrics.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("pint-fleet-accept".into())
-            .spawn(move || {
-                accept_loop(
-                    listener,
-                    accept_agg,
-                    accept_stop,
-                    accept_metrics,
-                    connections,
-                )
-            })
-            .expect("spawn fleet accept thread");
+        let port = Arc::new(FleetPort {
+            agg: Arc::clone(&agg),
+            // Registered at bind so the gauge reports 0 before the
+            // first connection rather than being absent from snapshots.
+            connections: metrics.gauge("fleet_connections"),
+        });
+        let server = FrameServer::bind(
+            addr,
+            "pint-fleet-accept",
+            "pint-fleet-conn",
+            ServerLimits::default(),
+            options,
+            port,
+        )?;
         Ok(Self {
             agg,
             metrics,
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
+            server,
         })
     }
 
@@ -170,7 +141,13 @@ impl FleetServer {
 
     /// The bound address collectors connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
+    }
+
+    /// The connection counters of this port (accepted, rejected,
+    /// reaped, framing and payload errors).
+    pub fn server_stats(&self) -> ServerStats {
+        self.server.stats()
     }
 
     /// The shared aggregator (lock to query or drain events).
@@ -184,209 +161,70 @@ impl FleetServer {
         f(&mut agg)
     }
 
-    /// Stops accepting, joins the accept thread, and returns the shared
-    /// aggregator handle. Live connections wind down on their own: each
-    /// reader notices the stop flag within its poll interval.
-    pub fn shutdown(mut self) -> Arc<Mutex<FleetAggregator>> {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        Arc::clone(&self.agg)
+    /// Stops serving (open connections are dropped) and returns the
+    /// shared aggregator handle.
+    pub fn shutdown(self) -> Arc<Mutex<FleetAggregator>> {
+        self.server.shutdown();
+        self.agg
     }
 }
 
-impl Drop for FleetServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
+/// The fleet port's handler set.
+struct FleetPort {
     agg: Arc<Mutex<FleetAggregator>>,
-    stop: Arc<AtomicBool>,
-    metrics: MetricsRegistry,
     connections: Gauge,
-) {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_agg = Arc::clone(&agg);
-                let conn_stop = Arc::clone(&stop);
-                let conn_metrics = metrics.clone();
-                let conn_gauge = connections.clone();
-                match std::thread::Builder::new()
-                    .name("pint-fleet-conn".into())
-                    .spawn(move || {
-                        connection_loop(stream, conn_agg, conn_stop, conn_metrics, conn_gauge)
-                    }) {
-                    Ok(t) => readers.push(t),
-                    Err(_) => { /* thread exhaustion: drop the connection */ }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-        readers.retain(|t| !t.is_finished());
-    }
-    for t in readers {
-        let _ = t.join();
+}
+
+impl FleetPort {
+    fn agg(&self) -> MutexGuard<'_, FleetAggregator> {
+        self.agg.lock().expect("fleet aggregator poisoned")
     }
 }
 
-/// Reads one connection's byte stream, reassembling frames with
-/// [`FrameReader`] (a read timeout surfaces as `Io(WouldBlock)` with
-/// the partial frame still buffered — exactly the stop-flag poll point
-/// this loop needs) and applying them to the shared aggregator.
-/// `Query` frames are answered on the same connection: the
-/// contributing snapshots are cloned under the lock, then merged and
-/// executed outside it, so a slow query delays only this connection —
-/// ingestion never waits on a query's merge.
-fn connection_loop(
-    stream: TcpStream,
-    agg: Arc<Mutex<FleetAggregator>>,
-    stop: Arc<AtomicBool>,
-    metrics: MetricsRegistry,
-    connections: Gauge,
-) {
-    let _guard = ConnectionGuard::new(connections);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut writer = stream.try_clone().ok();
-    let mut reader = FrameReader::new(stream);
-    while !stop.load(Ordering::Acquire) {
-        match reader.read_frame() {
-            Ok(Some((FrameType::Query, payload))) => {
-                // Snapshot clones leave the lock quickly; the
-                // expensive fleet merge and the plan itself run
-                // outside it. The watermark is read under the same
-                // lock hold, so the stamp is consistent with the
-                // snapshots the answer was computed from.
+impl FrameHandler for FleetPort {
+    fn handle(&self, ty: FrameType, payload: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
+        let applied = match ty {
+            FrameType::Query => {
+                // Snapshot clones leave the lock quickly; the expensive
+                // fleet merge and the plan itself run outside it, on
+                // this connection's thread, so ingest never waits on a
+                // query. The watermark is read under the same lock
+                // hold, so the stamp matches the snapshots answered
+                // from.
                 let (pods, watermark) = {
-                    let agg = agg.lock().expect("fleet aggregator poisoned");
+                    let agg = self.agg();
                     (agg.collector_snapshots(), agg.watermark())
                 };
                 let view = crate::view::FleetView::merge(pods);
-                let response = pint_query::remote::respond_with(&view, &payload, Some(watermark));
-                let delivered = writer
-                    .as_mut()
-                    .map(|w| w.write_all(&response).and_then(|()| w.flush()));
-                if !matches!(delivered, Some(Ok(()))) {
-                    return; // reply path gone; drop the connection
-                }
+                out.extend_from_slice(&pint_query::remote::respond_with(
+                    &view,
+                    payload,
+                    Some(watermark),
+                ));
+                return Ok(());
             }
-            Ok(Some((FrameType::DigestBatch, payload))) => {
-                // Digest batches are acknowledged so the sending
-                // forwarder can retire them (at-least-once delivery).
-                let ack = agg
-                    .lock()
-                    .expect("fleet aggregator poisoned")
-                    .ingest_digest_batch(&payload);
-                if let Ok(ack) = ack {
-                    let delivered = writer
-                        .as_mut()
-                        .map(|w| w.write_all(&ack.to_frame_bytes()).and_then(|()| w.flush()));
-                    if !matches!(delivered, Some(Ok(()))) {
-                        return; // ack path gone; force a reconnect
-                    }
-                }
-                // A decode error was counted; framing is intact, keep
-                // reading.
-            }
-            Ok(Some((FrameType::Metrics, payload))) => {
-                // Self-telemetry: answered from the registry snapshot,
-                // no aggregator lock needed. Anything but a request
-                // (a stray report, junk payload) is funneled to the
-                // aggregator, which counts it as unsupported.
-                match MetricsMsg::decode(&payload) {
-                    Ok(MetricsMsg::Request(req)) => {
-                        let report = MetricsReport {
-                            request_id: req.request_id,
-                            source: 0,
-                            snapshot: metrics.snapshot(),
-                        };
-                        let mut out = Vec::new();
-                        frame_into(FrameType::Metrics, &report, &mut out);
-                        let delivered = writer
-                            .as_mut()
-                            .map(|w| w.write_all(&out).and_then(|()| w.flush()));
-                        if !matches!(delivered, Some(Ok(()))) {
-                            return; // reply path gone; drop the connection
-                        }
-                    }
-                    _ => {
-                        let _ = agg
-                            .lock()
-                            .expect("fleet aggregator poisoned")
-                            .ingest_payload(FrameType::Metrics, &payload);
-                    }
-                }
-            }
-            Ok(Some((FrameType::TraceDump, payload))) => {
-                // Flight-recorder exposition: snapshotting is lock-free
-                // on the recorder itself, but the recorder handle lives
-                // in the aggregator config. Untraced servers answer
-                // with an empty dump.
-                match TraceMsg::decode(&payload) {
-                    Ok(TraceMsg::Request(req)) => {
-                        let dump = agg
-                            .lock()
-                            .expect("fleet aggregator poisoned")
-                            .trace_recorder()
-                            .map(|r| r.snapshot())
-                            .unwrap_or_default();
-                        let report = TraceReport {
-                            request_id: req.request_id,
-                            source: 0,
-                            dump,
-                        };
-                        let mut out = Vec::new();
-                        frame_into(FrameType::TraceDump, &report, &mut out);
-                        let delivered = writer
-                            .as_mut()
-                            .map(|w| w.write_all(&out).and_then(|()| w.flush()));
-                        if !matches!(delivered, Some(Ok(()))) {
-                            return; // reply path gone; drop the connection
-                        }
-                    }
-                    _ => {
-                        let _ = agg
-                            .lock()
-                            .expect("fleet aggregator poisoned")
-                            .ingest_payload(FrameType::TraceDump, &payload);
-                    }
-                }
-            }
-            Ok(Some((ty, payload))) => {
-                let mut agg = agg.lock().expect("fleet aggregator poisoned");
-                // Decode errors inside a well-delimited frame are
-                // counted by the aggregator; the stream itself is still
-                // in sync, keep reading.
-                let _ = agg.ingest_payload(ty, &payload);
-            }
-            Ok(None) => return, // peer closed cleanly
-            Err(ReadFrameError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // poll the stop flag, then resume buffering
-            }
-            Err(ReadFrameError::Wire(_)) => {
-                // Framing is broken; the connection cannot recover.
-                // Count and drop it.
-                agg.lock()
-                    .expect("fleet aggregator poisoned")
-                    .record_decode_error();
-                return;
-            }
-            Err(ReadFrameError::Io(_)) => return, // reset / mid-frame EOF
+            // Digest batches are acknowledged so the sending forwarder
+            // can retire them (at-least-once delivery).
+            FrameType::DigestBatch => self
+                .agg()
+                .ingest_digest_batch(payload)
+                .map(|ack| frame_into(FrameType::BatchAck, &ack, out)),
+            // Anything else, self-telemetry frames the core did not
+            // answer included, is the aggregator's to apply or count.
+            _ => self.agg().ingest_payload(ty, payload).map(drop),
+        };
+        match applied {
+            Err(FleetError::Wire(e)) => Err(e),
+            _ => Ok(()),
         }
+    }
+
+    fn publish(&self, stats: &ServerStats) {
+        self.connections.set(stats.active as u64);
+    }
+
+    fn framing_error(&self) {
+        self.agg().record_decode_error();
     }
 }
 
@@ -458,7 +296,7 @@ mod tests {
     use pint_collector::{CollectorSnapshot, FlowSummary, ShardSnapshot};
     use pint_core::RecorderKind;
     use pint_sketches::KllSketch;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn snapshot_frame(collector_id: u64, epoch: u64, flow: u64) -> SnapshotFrame {
         let mut sk = KllSketch::with_seed(32, collector_id);

@@ -9,24 +9,20 @@
 //! frames are typed rejections: the responder answers a parseable-but-
 //! invalid request with an error response and drops connections whose
 //! byte stream cannot resynchronize, but it never panics on hostile
-//! bytes.
+//! bytes. [`QueryResponder`] is a handler set on pint-wire's
+//! [`FrameServer`] core, which owns accept, the connection cap,
+//! per-connection threads and slow-loris reaping for every port.
 
 use crate::exec::{QueryBackend, QueryResult, Watermark};
 use crate::plan::{QueryError, QueryPlan};
 use pint_wire::{
-    frame_into, FrameReader, FrameType, MetricsMsg, MetricsReport, MetricsRequest, ReadFrameError,
-    TraceMsg, TraceReport, TraceRequest, WireDecode, WireEncode, WireError, WireReader, WireWriter,
+    frame_into, FrameHandler, FrameReader, FrameServer, FrameType, MetricsMsg, MetricsReport,
+    MetricsRequest, ReadFrameError, ServerLimits, ServerOptions, ServerStats, TraceMsg,
+    TraceReport, TraceRequest, WireDecode, WireEncode, WireError, WireReader, WireWriter,
 };
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Accept-loop poll interval and per-connection read timeout — bounds
-/// how long shutdown can lag (same contract as the fleet server).
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Longest error message a response may carry (a hostile server must
 /// not drive client allocation).
@@ -214,12 +210,12 @@ pub fn respond_with<B: QueryBackend + ?Sized>(
 /// collector-side responder (`QueryResponder::bind(addr,
 /// Arc::new(collector))`) or any other [`QueryBackend`].
 ///
-/// One reader thread per connection; non-`Query` frames are ignored,
-/// streams that cannot resynchronize are dropped.
+/// A handler set on pint-wire's [`FrameServer`] core: one thread per
+/// connection with the shared connection cap and slow-loris reaping.
+/// `Query` frames are answered through [`respond`], `Metrics` and
+/// `TraceDump` requests by the core, and other frames are ignored.
 pub struct QueryResponder {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    server: FrameServer,
 }
 
 impl QueryResponder {
@@ -229,113 +225,43 @@ impl QueryResponder {
     where
         B: QueryBackend + Send + Sync + 'static,
     {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("pint-query-accept".into())
-            .spawn(move || accept_loop(listener, backend, accept_stop))
-            .expect("spawn query accept thread");
-        Ok(Self {
+        let server = FrameServer::bind(
             addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+            "pint-query-accept",
+            "pint-query-conn",
+            ServerLimits::default(),
+            ServerOptions::default(),
+            Arc::new(QueryPort(backend)),
+        )?;
+        Ok(Self { server })
     }
 
     /// The bound address clients connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
-    /// Stops accepting and joins the accept thread; live connections
-    /// notice the stop flag within a poll interval.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
+    /// The connection counters of this port (accepted, rejected,
+    /// reaped, framing and payload errors).
+    pub fn stats(&self) -> ServerStats {
+        self.server.stats()
     }
 
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+    /// Stops serving; open connections are dropped.
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
-impl Drop for QueryResponder {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
+/// The query port's handler set.
+struct QueryPort<B>(Arc<B>);
 
-fn accept_loop<B>(listener: TcpListener, backend: Arc<B>, stop: Arc<AtomicBool>)
-where
-    B: QueryBackend + Send + Sync + 'static,
-{
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_backend = Arc::clone(&backend);
-                let conn_stop = Arc::clone(&stop);
-                match std::thread::Builder::new()
-                    .name("pint-query-conn".into())
-                    .spawn(move || connection_loop(stream, &*conn_backend, conn_stop))
-                {
-                    Ok(t) => readers.push(t),
-                    Err(_) => { /* thread exhaustion: drop the connection */ }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+impl<B: QueryBackend + Send + Sync + 'static> FrameHandler for QueryPort<B> {
+    fn handle(&self, ty: FrameType, payload: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
+        if ty == FrameType::Query {
+            out.extend_from_slice(&respond(&*self.0, payload));
         }
-        readers.retain(|t| !t.is_finished());
-    }
-    for t in readers {
-        let _ = t.join();
-    }
-}
-
-fn connection_loop<B: QueryBackend + ?Sized>(
-    stream: TcpStream,
-    backend: &B,
-    stop: Arc<AtomicBool>,
-) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = FrameReader::new(stream);
-    while !stop.load(Ordering::Acquire) {
-        match reader.read_frame() {
-            Ok(Some((FrameType::Query, payload))) => {
-                let bytes = respond(backend, &payload);
-                if writer
-                    .write_all(&bytes)
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Ok(Some(_)) => { /* not a query; ignore */ }
-            Ok(None) => return, // peer closed cleanly
-            Err(ReadFrameError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // poll the stop flag, then resume buffering
-            }
-            // Framing broken (bad magic / oversized / mid-frame EOF):
-            // the connection cannot recover. Drop it; the process and
-            // its other connections live on.
-            Err(_) => return,
-        }
+        Ok(())
     }
 }
 
@@ -514,9 +440,9 @@ impl QueryClient {
     }
 
     /// Fetches the server's live self-telemetry snapshot (a `Metrics`
-    /// frame), blocking for the report. Servers that do not serve
-    /// metrics close the request unanswered, which surfaces as a
-    /// timeout/EOF error here, never a hang past the socket timeout.
+    /// frame), blocking for the report. Every port on the frame-server
+    /// core answers; a port without a shared registry reports its own
+    /// (possibly empty) one.
     pub fn fetch_metrics(&mut self) -> Result<MetricsReport, QueryError> {
         let id = self.next_id;
         self.next_id += 1;

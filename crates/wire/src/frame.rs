@@ -220,8 +220,8 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// Bytes buffered towards the next frame (a partial frame mid-read).
-    /// Poll loops compare this across ticks to detect slow-loris peers:
-    /// a connection stuck mid-frame with no growth is stalled, not slow.
+    /// A server whose read timed out checks this to tell a slow-loris
+    /// (stuck mid-frame) from an idle peer (at a frame boundary).
     pub fn buffered(&self) -> usize {
         self.buf.len()
     }
@@ -260,8 +260,8 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    /// Non-blocking [`read_frame`](Self::read_frame): one step of a
-    /// poll loop over a non-blocking stream.
+    /// Non-blocking [`read_frame`](Self::read_frame): drains what a
+    /// non-blocking stream already holds.
     ///
     /// `WouldBlock`/`TimedOut` become [`FramePoll::Pending`] — no bytes
     /// are lost; the partial frame stays buffered and the next call
@@ -269,34 +269,18 @@ impl<R: Read> FrameReader<R> {
     /// boundary is [`FramePoll::Closed`]; EOF mid-frame is an
     /// `UnexpectedEof` error like the blocking path.
     pub fn poll_frame(&mut self) -> Result<FramePoll, ReadFrameError> {
-        loop {
-            match peek_frame(&self.buf)? {
-                Some((ty, payload, consumed)) => {
-                    let payload = payload.to_vec();
-                    self.buf.drain(..consumed);
-                    return Ok(FramePoll::Frame(ty, payload));
-                }
-                None => match self.inner.read(&mut self.chunk) {
-                    Ok(0) => {
-                        if self.buf.is_empty() {
-                            return Ok(FramePoll::Closed);
-                        }
-                        return Err(ReadFrameError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "stream ended mid-frame",
-                        )));
-                    }
-                    Ok(n) => self.buf.extend_from_slice(&self.chunk[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        return Ok(FramePoll::Pending)
-                    }
-                    Err(e) => return Err(ReadFrameError::Io(e)),
-                },
+        match self.read_frame() {
+            Ok(Some((ty, payload))) => Ok(FramePoll::Frame(ty, payload)),
+            Ok(None) => Ok(FramePoll::Closed),
+            Err(ReadFrameError::Io(e))
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                Ok(FramePoll::Pending)
             }
+            Err(e) => Err(e),
         }
     }
 }

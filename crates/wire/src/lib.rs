@@ -57,6 +57,11 @@
 //! same hostile-input rules apply — a store file is just bytes that
 //! survived a crash, which is its own kind of adversary.
 //!
+//! The [`server`] module is the TCP side of the same frames: one
+//! [`FrameServer`] core (accept, connection cap, frame reassembly,
+//! slow-loris reaping, `Metrics`/`TraceDump` answers) that the
+//! digest-ingest, fleet and query ports plug a [`FrameHandler`] into.
+//!
 //! ## Using the codec
 //!
 //! Types implement [`WireEncode`] (append to a caller-owned `Vec<u8>` —
@@ -95,6 +100,7 @@ pub mod fault;
 mod frame;
 pub mod metrics;
 mod rw;
+pub mod server;
 pub mod store;
 pub mod trace;
 
@@ -109,6 +115,7 @@ pub use frame::{
 };
 pub use metrics::{MetricsMsg, MetricsReport, MetricsRequest, MAX_METRIC_NAME};
 pub use rw::{WireReader, WireWriter};
+pub use server::{FrameHandler, FrameServer, ServerLimits, ServerOptions, ServerStats};
 pub use store::{
     crc32, CheckpointRecord, CoveredSource, StoreKind, StoreRecord, Superblock, STORE_MAGIC,
     STORE_VERSION,

@@ -1,6 +1,6 @@
 //! The fault-tolerant edge→regional ingest path end-to-end: edge
 //! forwarders → sequence-numbered `DigestBatch` frames over a faulty
-//! loopback link → `DigestServer` poll loop → collector → queries.
+//! loopback link → `DigestServer` → collector → queries.
 //!
 //! Every forwarder ships through a seeded `FaultInjector` that drops,
 //! duplicates, reorders, corrupts, truncates, and stalls frames —
@@ -20,7 +20,10 @@
 use pint::collector::{Collector, CollectorConfig};
 use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint::core::{Digest, DigestReport, FlowRecorder};
-use pint::fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
+use pint::fleet::{
+    collector_sink, DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig,
+    ForwarderOptions,
+};
 use pint::query::{QueryResult, TelemetryQuery};
 use pint::wire::{FaultConfig, FaultInjector};
 use std::io::Write;
@@ -49,13 +52,13 @@ fn main() {
             )) as Box<dyn FlowRecorder>
         }),
     );
-    let server = DigestServer::bind_collector(
+    let server = DigestServer::bind(
         "127.0.0.1:0",
         DigestServerConfig {
             read_deadline: Duration::from_millis(300),
             ..DigestServerConfig::default()
         },
-        collector.handle(),
+        collector_sink(collector.handle()),
     )
     .expect("bind digest server");
     let addr = server.local_addr();
@@ -80,7 +83,7 @@ fn main() {
         .map(|edge| {
             let agg = agg.clone();
             std::thread::spawn(move || {
-                let fwd = DigestForwarder::connect_faulty(
+                let fwd = DigestForwarder::connect_with(
                     addr,
                     ForwarderConfig {
                         source: edge + 1,
@@ -91,7 +94,10 @@ fn main() {
                         rto: Duration::from_millis(50),
                         seed: 0xED6E ^ edge,
                     },
-                    FaultInjector::new(FaultConfig::hostile(0x5EED ^ edge)),
+                    ForwarderOptions {
+                        faults: Some(FaultInjector::new(FaultConfig::hostile(0x5EED ^ edge))),
+                        ..ForwarderOptions::default()
+                    },
                 );
                 for f in 0..FLOWS_PER_EDGE {
                     let flow = edge * FLOWS_PER_EDGE + f;

@@ -5,7 +5,7 @@
 //!
 //! The pipeline is the real one: digests are pushed through a
 //! `DigestForwarder`, framed as sequence-numbered batches over loopback
-//! TCP into a `DigestServer` poll loop, and sunk into a sharded
+//! TCP into a `DigestServer`, and sunk into a sharded
 //! collector. Every tier publishes into the same registry, so the final
 //! fetch shows producer enqueue timings, per-shard drain/touch/KLL
 //! stage histograms, flow-table occupancy, forwarder delivery
@@ -17,9 +17,13 @@
 use pint::collector::{Collector, CollectorConfig};
 use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint::core::{Digest, DigestReport, FlowRecorder};
-use pint::fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
+use pint::fleet::{
+    collector_sink, DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig,
+    ForwarderOptions,
+};
 use pint::obs::MetricsRegistry;
 use pint::query::remote::QueryClient;
+use pint::wire::ServerOptions;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,22 +58,21 @@ fn main() {
     );
 
     // ---- DigestServer publishing into the same registry -----------
-    let mut sink_handle = collector.handle();
-    let server = DigestServer::bind_observed(
+    let server = DigestServer::bind_with(
         "127.0.0.1:0",
         DigestServerConfig::default(),
-        Box::new(move |_source, reports| {
-            let _ = sink_handle.push_batch(reports);
-            let _ = sink_handle.flush();
-        }),
-        registry.clone(),
+        collector_sink(collector.handle()),
+        ServerOptions {
+            metrics: registry.clone(),
+            ..ServerOptions::default()
+        },
     )
     .expect("bind digest server");
     let addr = server.local_addr();
     println!("digest server listening on {addr}");
 
     // ---- Edge forwarder, same registry again ----------------------
-    let fwd = DigestForwarder::connect_observed(
+    let fwd = DigestForwarder::connect_with(
         addr,
         ForwarderConfig {
             source: SOURCE,
@@ -77,7 +80,10 @@ fn main() {
             queue_batches: 512, // hold the whole burst; nothing sheds
             ..ForwarderConfig::default()
         },
-        registry.clone(),
+        ForwarderOptions {
+            metrics: registry.clone(),
+            ..ForwarderOptions::default()
+        },
     );
     println!("shipping {pushed} digests from source {SOURCE}…");
     for flow in 0..FLOWS {

@@ -22,10 +22,14 @@
 use pint::collector::{Collector, CollectorConfig};
 use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint::core::{Digest, DigestReport, FlowRecorder};
-use pint::fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
+use pint::fleet::{
+    collector_sink, DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig,
+    ForwarderOptions,
+};
 use pint::obs::{FlightRecorder, MetricsRegistry, TraceStage, VirtualClock};
 use pint::query::remote::{QueryClient, QueryResponder};
 use pint::query::TelemetryQuery;
+use pint::wire::ServerOptions;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,23 +71,21 @@ fn main() {
     );
 
     // ---- Traced DigestServer sinking into the collector ------------
-    let mut sink_handle = collector.handle();
-    let server = DigestServer::bind_traced(
+    let server = DigestServer::bind_with(
         "127.0.0.1:0",
         DigestServerConfig::default(),
-        Box::new(move |_source, reports| {
-            let _ = sink_handle.push_batch(reports);
-            let _ = sink_handle.flush();
-        }),
-        registry.clone(),
-        recorder.clone(),
+        collector_sink(collector.handle()),
+        ServerOptions {
+            metrics: registry.clone(),
+            recorder: Some(recorder.clone()),
+        },
     )
     .expect("bind digest server");
     let addr = server.local_addr();
     println!("traced digest server on {addr}");
 
     // ---- Traced edge forwarder -------------------------------------
-    let fwd = DigestForwarder::connect_traced(
+    let fwd = DigestForwarder::connect_with(
         addr,
         ForwarderConfig {
             source: SOURCE,
@@ -91,8 +93,11 @@ fn main() {
             queue_batches: 512,
             ..ForwarderConfig::default()
         },
-        registry.clone(),
-        recorder.clone(),
+        ForwarderOptions {
+            metrics: registry.clone(),
+            recorder: Some(recorder.clone()),
+            ..ForwarderOptions::default()
+        },
     );
     println!("shipping {pushed} digests from source {SOURCE}…");
     for flow in 0..FLOWS {

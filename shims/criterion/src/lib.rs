@@ -14,7 +14,7 @@
 //!   (default 300; set small in CI to smoke-test benches quickly).
 //! * `PINT_BENCH_JSON` — if set, a JSON array of all results is written to
 //!   this path when the `Criterion` value drops (used to record baselines
-//!   such as `BENCH_collector.json`).
+//!   such as `BENCH_ingest.json`).
 
 #![forbid(unsafe_code)]
 

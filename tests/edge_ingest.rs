@@ -20,7 +20,10 @@
 use pint::collector::{Collector, CollectorConfig, RecorderFactory};
 use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint::core::{Digest, DigestReport, FlowRecorder, RecorderKind};
-use pint::fleet::{DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig};
+use pint::fleet::{
+    collector_sink, DigestForwarder, DigestServer, DigestServerConfig, ForwarderConfig,
+    ForwarderOptions,
+};
 use pint::query::TelemetryQuery;
 use pint::wire::{FaultConfig, FaultInjector, WireEncode};
 use std::io::Write;
@@ -80,10 +83,10 @@ fn remote_ingest_is_equivalent_to_local() {
     let remote = Collector::spawn(CollectorConfig::with_shards(4), latency_factory(&agg));
     let local = Collector::spawn(CollectorConfig::with_shards(4), latency_factory(&agg));
 
-    let server = DigestServer::bind_collector(
+    let server = DigestServer::bind(
         "127.0.0.1:0",
         DigestServerConfig::default(),
-        remote.handle(),
+        collector_sink(remote.handle()),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -209,7 +212,7 @@ fn hostile_faults_never_break_exact_accounting() {
     let shippers: Vec<_> = (0..FORWARDERS)
         .map(|i| {
             std::thread::spawn(move || {
-                let fwd = DigestForwarder::connect_faulty(
+                let fwd = DigestForwarder::connect_with(
                     addr,
                     ForwarderConfig {
                         source: 100 + i,
@@ -220,7 +223,10 @@ fn hostile_faults_never_break_exact_accounting() {
                         rto: Duration::from_millis(50),
                         seed: 0xF00D + i,
                     },
-                    FaultInjector::new(FaultConfig::hostile(0xBAD5EED ^ i)),
+                    ForwarderOptions {
+                        faults: Some(FaultInjector::new(FaultConfig::hostile(0xBAD5EED ^ i))),
+                        ..ForwarderOptions::default()
+                    },
                 );
                 for pid in 0..DIGESTS_EACH {
                     fwd.push(DigestReport::new(i, pid, Digest::new(1), 3, pid));

@@ -12,6 +12,7 @@ use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint::core::{Digest, DigestReport, FlowRecorder};
 use pint::fleet::{
     DigestForwarder, DigestServer, DigestServerConfig, FleetConfig, FleetServer, ForwarderConfig,
+    ForwarderOptions,
 };
 use pint::netsim::sim::{SimConfig, Simulator};
 use pint::netsim::telemetry::FixedOverhead;
@@ -20,7 +21,9 @@ use pint::netsim::transport::reno::Reno;
 use pint::netsim::workload::{FlowSizeCdf, WorkloadConfig};
 use pint::obs::{Clock, MetricsRegistry, MetricsSnapshot, VirtualClock};
 use pint::query::remote::QueryClient;
-use pint::wire::{parse_frame, FrameType, MetricsMsg, MetricsReport, WireDecode, WireEncode};
+use pint::wire::{
+    parse_frame, FrameType, MetricsMsg, MetricsReport, ServerOptions, WireDecode, WireEncode,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -303,7 +306,7 @@ fn forwarder_invariant_holds_in_every_snapshot() {
     drop(placeholder);
 
     let registry = MetricsRegistry::new();
-    let fwd = DigestForwarder::connect_observed(
+    let fwd = DigestForwarder::connect_with(
         addr,
         ForwarderConfig {
             source: SOURCE,
@@ -313,7 +316,10 @@ fn forwarder_invariant_holds_in_every_snapshot() {
             retry_max: Duration::from_millis(20),
             ..ForwarderConfig::default()
         },
-        registry.clone(),
+        ForwarderOptions {
+            metrics: registry.clone(),
+            ..ForwarderOptions::default()
+        },
     );
 
     let sampler_registry = registry.clone();
@@ -356,28 +362,34 @@ fn forwarder_invariant_holds_in_every_snapshot() {
     assert_eq!(snap.gauge("forwarder_source", shard), Some(SOURCE));
 }
 
-/// A live delivery path: the digest server's per-tick group publish
-/// keeps `acks_sent == batches_applied + batches_duplicate` in every
-/// snapshot, and the `Metrics` frame is served from the poll loop too.
+/// A live delivery path: the digest server's whole-group publish keeps
+/// `acks_sent == batches_applied + batches_duplicate` in every
+/// snapshot, and the `Metrics` frame is served on the ingest port too.
 #[test]
 fn digest_server_publishes_consistent_counters_and_serves_metrics() {
     let registry = MetricsRegistry::new();
-    let server = DigestServer::bind_observed(
+    let server = DigestServer::bind_with(
         "127.0.0.1:0",
         DigestServerConfig::default(),
         Box::new(|_src, _reports| {}),
-        registry.clone(),
+        ServerOptions {
+            metrics: registry.clone(),
+            ..ServerOptions::default()
+        },
     )
     .unwrap();
 
-    let fwd = DigestForwarder::connect_observed(
+    let fwd = DigestForwarder::connect_with(
         server.local_addr(),
         ForwarderConfig {
             source: 4,
             batch_digests: 8,
             ..ForwarderConfig::default()
         },
-        registry.clone(),
+        ForwarderOptions {
+            metrics: registry.clone(),
+            ..ForwarderOptions::default()
+        },
     );
     for pid in 0..400u64 {
         fwd.push(DigestReport::new(pid % 5, pid, Digest::new(1), 3, pid));
@@ -403,7 +415,7 @@ fn digest_server_publishes_consistent_counters_and_serves_metrics() {
             == 400
     });
 
-    // Fetch the same registry over the wire from the poll loop.
+    // Fetch the same registry over the wire from the ingest port.
     let mut client = QueryClient::connect(server.local_addr()).unwrap();
     let report = client.fetch_metrics().unwrap();
     let acks = report
@@ -560,27 +572,32 @@ fn remote_trace_fetch_equals_local_drain() {
         latency_factory(&agg),
     );
     let mut sink = collector.handle();
-    let server = DigestServer::bind_traced(
+    let server = DigestServer::bind_with(
         "127.0.0.1:0",
         DigestServerConfig::default(),
         Box::new(move |_source, reports| {
             let _ = sink.push_batch(reports);
             let _ = sink.flush();
         }),
-        registry.clone(),
-        recorder.clone(),
+        ServerOptions {
+            metrics: registry.clone(),
+            recorder: Some(recorder.clone()),
+        },
     )
     .unwrap();
 
-    let fwd = DigestForwarder::connect_traced(
+    let fwd = DigestForwarder::connect_with(
         server.local_addr(),
         ForwarderConfig {
             source: 3,
             batch_digests: 16,
             ..ForwarderConfig::default()
         },
-        registry.clone(),
-        recorder.clone(),
+        ForwarderOptions {
+            metrics: registry.clone(),
+            recorder: Some(recorder.clone()),
+            ..ForwarderOptions::default()
+        },
     );
     for pid in 0..160u64 {
         let mut d = Digest::new(1);

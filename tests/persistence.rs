@@ -19,7 +19,7 @@ use pint::core::dynamic::{DynamicAggregator, DynamicRecorder};
 use pint::core::{Digest, DigestReport, FlowRecorder};
 use pint::fleet::{
     DigestForwarder, DigestServer, DigestServerConfig, FleetAggregator, FleetConfig,
-    ForwarderConfig,
+    ForwarderConfig, ForwarderOptions,
 };
 use pint::obs::MetricsRegistry;
 use pint::query::TelemetryQuery;
@@ -531,7 +531,7 @@ fn forwarder_spill_persists_across_runs_and_resumes_with_exact_accounting() {
     // Run 1: tiny queue, every push seals a batch; overflow spills to
     // disk instead of shedding.
     let spill = SpillQueue::open(&spill_path, 9).unwrap();
-    let fwd = DigestForwarder::connect_spilling(
+    let fwd = DigestForwarder::connect_with(
         addr,
         ForwarderConfig {
             source: 9,
@@ -541,8 +541,11 @@ fn forwarder_spill_persists_across_runs_and_resumes_with_exact_accounting() {
             retry_max: Duration::from_millis(20),
             ..ForwarderConfig::default()
         },
-        MetricsRegistry::new(),
-        spill,
+        ForwarderOptions {
+            metrics: MetricsRegistry::new(),
+            spill: Some(spill),
+            ..ForwarderOptions::default()
+        },
     );
     for pid in 0..20 {
         fwd.push(report(pid));
@@ -579,7 +582,7 @@ fn forwarder_spill_persists_across_runs_and_resumes_with_exact_accounting() {
     )
     .unwrap();
     let spill = SpillQueue::open(&spill_path, 9).unwrap();
-    let fwd = DigestForwarder::connect_spilling(
+    let fwd = DigestForwarder::connect_with(
         server.local_addr(),
         ForwarderConfig {
             source: 9,
@@ -587,8 +590,11 @@ fn forwarder_spill_persists_across_runs_and_resumes_with_exact_accounting() {
             queue_batches: 8,
             ..ForwarderConfig::default()
         },
-        MetricsRegistry::new(),
-        spill,
+        ForwarderOptions {
+            metrics: MetricsRegistry::new(),
+            spill: Some(spill),
+            ..ForwarderOptions::default()
+        },
     );
     for pid in 100..110 {
         fwd.push(report(pid));
